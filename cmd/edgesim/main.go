@@ -17,9 +17,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"runtime/pprof"
 	rtrace "runtime/trace"
+	"strings"
 	"time"
 
 	"github.com/c3lab/transparentedge/internal/cluster"
@@ -49,7 +49,6 @@ func main() {
 	warm := flag.Int("warm", testbed.DefaultWarmRequests, "warm requests for fig16")
 	parallel := flag.Int("parallel", 1, "workers for independent replications: 1 = sequential, 0 = GOMAXPROCS")
 	format := flag.String("format", "table", "output format for tabular results: table|csv")
-	noFastPath := flag.Bool("no-fastpath", false, "disable the datapath fast path (A/B verification; output must be identical)")
 	sched := flag.String("sched", "wheel", "event scheduler: wheel|heap (A/B verification; output must be identical)")
 	flows := flag.Int("flows", 0, "distinct flows for -exp load (default 20000; millions supported)")
 	rate := flag.Float64("rate", 0, "mean arrivals/s for -exp load (default 5000); mean handovers/s for -exp mobility (default 0.5)")
@@ -71,7 +70,6 @@ func main() {
 	if *format == "csv" {
 		emit = func(t *metrics.Table) { fmt.Print(t.CSV()) }
 	}
-	testbed.DefaultNoFastPath = *noFastPath
 	kind, err := vclock.ParseSchedulerKind(*sched)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "edgesim: -sched: %v\n", err)
@@ -222,7 +220,7 @@ func knownExp(name string) bool {
 // on mobile clients, a seeded random walk hopping them between the two
 // gNBs, make-before-break flow re-steering at each hop. Every number in
 // the table is virtual-time deterministic — byte-identical for a given
-// seed regardless of -parallel, -sched, or -no-fastpath.
+// seed regardless of -parallel or -sched.
 func mobilityExp(handovers int, rate float64, migrate bool, seed int64) error {
 	cfg := testbed.MobilityConfig{Handovers: handovers, Migrate: migrate, Seed: seed}
 	if rate > 0 {

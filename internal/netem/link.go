@@ -74,8 +74,8 @@ type Link struct {
 	xAB, xBA   *shardBoundary
 
 	// down marks the link administratively/physically dead: every packet
-	// offered while set is dropped. Atomic so the fast-path validator can
-	// check it without taking mu.
+	// offered while set is dropped. Atomic so readers can check it
+	// without taking mu.
 	down atomic.Bool
 
 	mu sync.Mutex
@@ -113,11 +113,8 @@ func deliverPacket(a, b any) {
 // this very packet (senders that retransmit pass clones), or the pool
 // gets it back if the link drops it.
 func (l *Link) transmit(pkt *Packet, from *Port) {
-	if l.net != nil && l.net.captureActive() {
+	if l.net != nil {
 		l.net.capturePacket(pkt)
-	}
-	if pkt.rec != nil {
-		pkt.recordLink(l, from == l.a)
 	}
 	clk, x := l.clk, (*shardBoundary)(nil)
 	l.mu.Lock()

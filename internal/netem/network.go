@@ -24,12 +24,9 @@ type Network struct {
 	links   []*Link
 	nextCID uint64
 	// capture holds the installed tap behind an atomic pointer so the
-	// per-packet fast path is one load, no lock, and no packet Clone
-	// when no tap is registered.
+	// per-packet check is one load, no lock, and no packet Clone when no
+	// tap is registered.
 	capture atomic.Pointer[CaptureFunc]
-	// fastpathOff disables compiled delivery and segment trains; the
-	// zero value means the fast path is on. See SetFastPath.
-	fastpathOff atomic.Bool
 	// bindNewLink, set by BindShards, applies the partition's
 	// device→shard clock assignment to links created after the bind
 	// (host re-homing); nil in unsharded runs. Guarded by mu.
@@ -104,9 +101,6 @@ func (n *Network) SetCapture(fn CaptureFunc) {
 	}
 	n.capture.Store(&fn)
 }
-
-// captureActive reports whether a tap is installed.
-func (n *Network) captureActive() bool { return n.capture.Load() != nil }
 
 // capturePacket taps one transmitted packet.
 func (n *Network) capturePacket(pkt *Packet) {

@@ -68,93 +68,87 @@ func fnvSum(h uint64, b []byte) uint64 {
 // zero lost, zero duplicated, in order — verified by checksumming both
 // ends and echo-comparing every message.
 func TestRehomeSessionChecksum(t *testing.T) {
-	for _, fastpath := range []bool{true, false} {
-		name := "fastpath"
-		if !fastpath {
-			name = "nofastpath"
-		}
-		t.Run(name, func(t *testing.T) {
-			clk := vclock.New()
-			var failure string
-			clk.Run(func() {
-				tp := buildRehomeTopo(clk)
-				tp.n.SetFastPath(fastpath)
+	// Runs on the per-hop datapath; there is no compiled fast path.
+	t.Run("nofastpath", func(t *testing.T) {
+		clk := vclock.New()
+		var failure string
+		clk.Run(func() {
+			tp := buildRehomeTopo(clk)
 
-				ln, err := tp.server.Listen(80)
+			ln, err := tp.server.Listen(80)
+			if err != nil {
+				failure = err.Error()
+				return
+			}
+			var srvSum = fnvOffset
+			var srvBytes, srvMsgs int
+			clk.Go(func() {
+				conn, err := ln.Accept()
 				if err != nil {
-					failure = err.Error()
 					return
 				}
-				var srvSum = fnvOffset
-				var srvBytes, srvMsgs int
-				clk.Go(func() {
-					conn, err := ln.Accept()
+				for {
+					msg, err := conn.Recv()
 					if err != nil {
 						return
 					}
-					for {
-						msg, err := conn.Recv()
-						if err != nil {
-							return
-						}
-						srvSum = fnvSum(srvSum, msg)
-						srvBytes += len(msg)
-						srvMsgs++
-						if err := conn.Send(msg); err != nil { // echo
-							return
-						}
-					}
-				})
-
-				conn, err := tp.client.Dial(HostPort{IP: tp.server.IP(), Port: 80})
-				if err != nil {
-					failure = "dial: " + err.Error()
-					return
-				}
-				const msgs = 40
-				var cliSum = fnvOffset
-				var cliBytes int
-				for i := 0; i < msgs; i++ {
-					if i == msgs/2 {
-						// Mid-session handover, with the previous echo
-						// possibly still in flight.
-						tp.rehomeToR2(t)
-					}
-					payload := []byte(fmt.Sprintf("msg %03d on the move %0128d", i, i))
-					cliSum = fnvSum(cliSum, payload)
-					cliBytes += len(payload)
-					if err := conn.Send(payload); err != nil {
-						failure = fmt.Sprintf("send %d: %v", i, err)
+					srvSum = fnvSum(srvSum, msg)
+					srvBytes += len(msg)
+					srvMsgs++
+					if err := conn.Send(msg); err != nil { // echo
 						return
 					}
-					echo, err := conn.RecvTimeout(30 * time.Second)
-					if err != nil {
-						failure = fmt.Sprintf("recv %d: %v", i, err)
-						return
-					}
-					if string(echo) != string(payload) {
-						failure = fmt.Sprintf("echo %d mismatch: %q", i, echo)
-						return
-					}
-					clk.Sleep(10 * time.Millisecond)
-				}
-				conn.Close()
-				clk.Sleep(time.Second)
-				if srvMsgs != msgs || srvBytes != cliBytes || srvSum != cliSum {
-					failure = fmt.Sprintf("server saw %d msgs / %d bytes / sum %x, client sent %d / %d / %x",
-						srvMsgs, srvBytes, srvSum, msgs, cliBytes, cliSum)
 				}
 			})
-			if failure != "" {
-				t.Fatal(failure)
+
+			conn, err := tp.client.Dial(HostPort{IP: tp.server.IP(), Port: 80})
+			if err != nil {
+				failure = "dial: " + err.Error()
+				return
+			}
+			const msgs = 40
+			var cliSum = fnvOffset
+			var cliBytes int
+			for i := 0; i < msgs; i++ {
+				if i == msgs/2 {
+					// Mid-session handover, with the previous echo
+					// possibly still in flight.
+					tp.rehomeToR2(t)
+				}
+				payload := []byte(fmt.Sprintf("msg %03d on the move %0128d", i, i))
+				cliSum = fnvSum(cliSum, payload)
+				cliBytes += len(payload)
+				if err := conn.Send(payload); err != nil {
+					failure = fmt.Sprintf("send %d: %v", i, err)
+					return
+				}
+				echo, err := conn.RecvTimeout(30 * time.Second)
+				if err != nil {
+					failure = fmt.Sprintf("recv %d: %v", i, err)
+					return
+				}
+				if string(echo) != string(payload) {
+					failure = fmt.Sprintf("echo %d mismatch: %q", i, echo)
+					return
+				}
+				clk.Sleep(10 * time.Millisecond)
+			}
+			conn.Close()
+			clk.Sleep(time.Second)
+			if srvMsgs != msgs || srvBytes != cliBytes || srvSum != cliSum {
+				failure = fmt.Sprintf("server saw %d msgs / %d bytes / sum %x, client sent %d / %d / %x",
+					srvMsgs, srvBytes, srvSum, msgs, cliBytes, cliSum)
 			}
 		})
-	}
+		if failure != "" {
+			t.Fatal(failure)
+		}
+	})
 }
 
-// TestRehomeDropsInGap verifies the cut-cable semantics: traffic
-// offered to the severed link is dropped and counted, and the client's
-// compiled plans are gone.
+// TestRehomeDropsInGap verifies the cut-cable semantics: the severed
+// link is marked down and the session carries on over the new
+// attachment point.
 func TestRehomeDropsInGap(t *testing.T) {
 	clk := vclock.New()
 	var failure string
@@ -189,7 +183,6 @@ func TestRehomeDropsInGap(t *testing.T) {
 			failure = "dial: " + err.Error()
 			return
 		}
-		// Warm traffic compiles plans on the client.
 		for i := 0; i < 3; i++ {
 			if err := conn.Send([]byte("warm")); err != nil {
 				failure = err.Error()
@@ -200,16 +193,8 @@ func TestRehomeDropsInGap(t *testing.T) {
 				return
 			}
 		}
-		if tp.client.planCount.Load() == 0 {
-			failure = "expected compiled plans before the re-home"
-			return
-		}
 		oldLink := tp.client.NIC().link
 		tp.rehomeToR2(t)
-		if tp.client.planCount.Load() != 0 {
-			failure = "compiled plans survived the re-home"
-			return
-		}
 		if !oldLink.IsDown() {
 			failure = "severed link not marked down"
 			return

@@ -57,12 +57,9 @@ func (h *Host) BindShardClock(clk vclock.Clock) { h.clk = clk }
 // or connection exists: those capture the host's clock at creation, so
 // ones made earlier would keep waiting on the pre-bind clock.
 // Mailbox-coupled devices (an OpenFlow switch and its controller) must
-// share a shard: mailboxes are intra-shard primitives. BindShards also
-// disables the datapath fast path — compiled flight plans tunnel
-// packets across the whole path on the origin host's clock, which is
-// exactly the cross-clock shortcut a partitioned run must not take.
+// share a shard: mailboxes are intra-shard primitives.
 func (n *Network) BindShards(g *vclock.ShardGroup, shardOf map[Device]int) time.Duration {
-	if n.captureActive() {
+	if n.capture.Load() != nil {
 		panic("netem: BindShards with a packet capture installed")
 	}
 	shard := func(d Device) int {
@@ -141,7 +138,6 @@ func (n *Network) BindShards(g *vclock.ShardGroup, shardOf map[Device]int) time.
 		bind(h)
 	}
 
-	n.fastpathOff.Store(true)
 	if lookahead > 0 {
 		g.SetLookahead(lookahead)
 	}

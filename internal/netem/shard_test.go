@@ -11,8 +11,7 @@ import (
 
 // shardPair builds the partitioned echo topology a --- r --- b with a
 // 1ms edge link on a's side and a 2ms link on b's side, on the given
-// clock. The fast path is forced off so the sequential baseline takes
-// the same hop-by-hop path a partitioned run must.
+// clock.
 func shardPair(clk vclock.Clock) (*Network, *Host, *Host, *Router) {
 	n := NewNetwork(clk, 1)
 	a := n.NewHost("a", ParseIP("10.0.0.1"))
@@ -22,7 +21,6 @@ func shardPair(clk vclock.Clock) (*Network, *Host, *Host, *Router) {
 	n.Connect(b.NIC(), r.Port(1), LinkConfig{Latency: 2 * time.Millisecond})
 	r.AddRoute(a.IP(), r.Port(0))
 	r.AddRoute(b.IP(), r.Port(1))
-	n.fastpathOff.Store(true)
 	return n, a, b, r
 }
 

@@ -239,21 +239,8 @@ type Switch struct {
 	index    map[Match][]*flowEntry
 	sigCount map[matchSig]int
 
-	// micro is the exact-match microflow cache in front of the
-	// tuple-space classifier: one probe memoizes the winning entry (or
-	// the resolved NORMAL route) for a (5-tuple, inPort) flow. Entries
-	// carry the epoch they were resolved at; any table or route
-	// mutation bumps epoch, lazily invalidating the whole cache.
-	micro       map[microKey]microEntry
-	microOn     bool
-	microHits   int64
-	microMisses int64
-	// epoch versions the forwarding state for the microflow cache and
-	// for compiled delivery (netem.PathDevice). Written under mu, read
-	// lock-free by plan validation.
-	epoch atomic.Uint64
-
 	// counters
+	lookups int64 // packets classified
 	punted  int64
 	dropped int64
 	normal  int64
@@ -278,26 +265,6 @@ type Switch struct {
 	ctrlDelayed  atomic.Int64
 }
 
-// microKey is the exact-match cache key: ingress port plus the full
-// address 4-tuple.
-type microKey struct {
-	inPort   int
-	src, dst netem.HostPort
-}
-
-// microEntry memoizes one classification result. entry == nil means the
-// packet missed the table and takes NORMAL forwarding out of port
-// (port < 1 means no route: drop).
-type microEntry struct {
-	epoch uint64
-	entry *flowEntry
-	port  int
-}
-
-// microCap bounds the cache; overflowing resets it (epoch-invalidated
-// entries are never swept individually).
-const microCap = 8192
-
 // NewSwitch creates a switch with n ports (numbered 1..n) on net's clock.
 func NewSwitch(net *netem.Network, name string, n int) *Switch {
 	s := &Switch{
@@ -308,8 +275,6 @@ func NewSwitch(net *netem.Network, name string, n int) *Switch {
 		defRoute:    -1,
 		index:       make(map[Match][]*flowEntry),
 		sigCount:    make(map[matchSig]int),
-		micro:       make(map[microKey]microEntry),
-		microOn:     true,
 		packetIns:   vclock.NewMailbox[PacketIn](net.Clock),
 		removals:    vclock.NewMailbox[FlowRemoved](net.Clock),
 		events:      vclock.NewMailbox[SwitchEvent](net.Clock),
@@ -345,7 +310,6 @@ func (s *Switch) AddRoute(ip netem.IP, port int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.routes[ip] = port
-	s.epoch.Add(1)
 }
 
 // rangeRoute is one NORMAL-forwarding prefix route: addresses matching
@@ -360,20 +324,17 @@ type rangeRoute struct {
 // block (base/mask), consulted when no exact host route matches. One
 // entry covers an arbitrarily large population — the load engine routes
 // its entire CGNAT client block with a single range instead of one host
-// route (and one forwarding-epoch bump, which would invalidate the
-// microflow cache) per flow.
+// route per flow.
 func (s *Switch) AddRouteRange(base, mask netem.IP, port int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, r := range s.ranges {
 		if r.base == base&mask && r.mask == mask {
 			s.ranges[i].port = port
-			s.epoch.Add(1)
 			return
 		}
 	}
 	s.ranges = append(s.ranges, rangeRoute{base: base & mask, mask: mask, port: port})
-	s.epoch.Add(1)
 }
 
 // SetDefaultRoute sets the NORMAL route for unknown destinations
@@ -382,28 +343,14 @@ func (s *Switch) SetDefaultRoute(port int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.defRoute = port
-	s.epoch.Add(1)
 }
 
-// PathEpoch implements netem.PathDevice: the forwarding-state version
-// compiled delivery validates against.
-func (s *Switch) PathEpoch() uint64 { return s.epoch.Load() }
-
-// SetMicroflow enables or disables the microflow cache (enabled by
-// default); disabling clears it. Differential tests use this to compare
-// cached and uncached classification.
-func (s *Switch) SetMicroflow(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.microOn = on
-	clear(s.micro)
-}
-
-// MicroStats reports microflow cache hits and misses.
+// MicroStats reports the hits and misses of a microflow cache the switch
+// does not have: hits is always 0, misses counts every classifier lookup.
 func (s *Switch) MicroStats() (hits, misses int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.microHits, s.microMisses
+	return 0, s.lookups
 }
 
 // Connect attaches the controller; punted packets and flow removals are
@@ -425,52 +372,27 @@ func (s *Switch) HandlePacket(pkt *netem.Packet, in *netem.Port) {
 }
 
 // process looks up the table and applies the winning entry's actions,
-// falling back to NORMAL forwarding on a miss. A microflow-cache hit
-// skips the tuple-space search: the whole classification is one map
-// probe.
+// falling back to NORMAL forwarding on a miss.
 func (s *Switch) process(pkt *netem.Packet, inPort int) {
 	s.mu.Lock()
+	s.lookups++
 	var best *flowEntry
-	normalPort := -1
-	key := microKey{inPort: inPort, src: pkt.Src, dst: pkt.Dst}
-	epoch := s.epoch.Load()
-	if me, ok := s.micro[key]; s.microOn && ok && me.epoch == epoch {
-		best, normalPort = me.entry, me.port
-		s.microHits++
-	} else {
-		for sig := range s.sigCount {
-			for _, e := range s.index[sig.project(pkt, inPort)] {
-				if e.removed {
-					continue
-				}
-				if best == nil || e.Priority > best.Priority ||
-					(e.Priority == best.Priority && e.seq < best.seq) {
-					best = e
-				}
+	for sig := range s.sigCount {
+		for _, e := range s.index[sig.project(pkt, inPort)] {
+			if e.removed {
+				continue
+			}
+			if best == nil || e.Priority > best.Priority ||
+				(e.Priority == best.Priority && e.seq < best.seq) {
+				best = e
 			}
 		}
-		if best == nil {
-			normalPort = s.normalRouteLocked(pkt.Dst.IP)
-		}
-		if s.microOn {
-			s.microMisses++
-			if len(s.micro) >= microCap {
-				clear(s.micro)
-			}
-			s.micro[key] = microEntry{epoch: epoch, entry: best, port: normalPort}
-		}
-	}
-	if pkt.Recording() {
-		s.recordHopLocked(pkt, best, epoch)
 	}
 	if best == nil {
+		port := s.normalRouteLocked(pkt.Dst.IP)
 		s.normal++
 		s.mu.Unlock()
-		if normalPort < 1 {
-			s.drop(pkt)
-			return
-		}
-		s.send(pkt, normalPort)
+		s.send(pkt, port)
 		return
 	}
 	best.lastUsed = s.clk.Now()
@@ -503,94 +425,6 @@ func (s *Switch) drop(pkt *netem.Packet) {
 	pkt.Release()
 }
 
-// recordHopLocked appends this switch to pkt's flight-plan recording,
-// or aborts it when the decision is not replayable (punt, drop). The
-// recorded field mask is the union of the fields any installed flow
-// matches on, plus the destination address the NORMAL route examines —
-// packets differing only in unexamined fields would classify
-// identically, so they may share the compiled path. Callers hold s.mu.
-func (s *Switch) recordHopLocked(pkt *netem.Packet, e *flowEntry, epoch uint64) {
-	mask := netem.FieldDstIP
-	for sig := range s.sigCount {
-		if sig&sigSrcIP != 0 {
-			mask |= netem.FieldSrcIP
-		}
-		if sig&sigSrcPort != 0 {
-			mask |= netem.FieldSrcPort
-		}
-		if sig&sigDstIP != 0 {
-			mask |= netem.FieldDstIP
-		}
-		if sig&sigDstPort != 0 {
-			mask |= netem.FieldDstPort
-		}
-		// sigInPort needs no key bit: a plan replays one concrete path,
-		// which fixes the ingress port.
-	}
-	if e == nil {
-		pkt.RecordHop(s, epoch, netem.Rewrite{}, mask, 0, s.touchNormal)
-		return
-	}
-	rw, ok := compileActions(e.Actions)
-	if !ok {
-		pkt.AbortRecording()
-		return
-	}
-	pkt.RecordHop(s, epoch, rw, mask, 0, func(p *netem.Packet, at time.Time) {
-		s.touchFlow(e, p, at)
-	})
-}
-
-// touchFlow replays per-entry accounting for a compiled traversal; at
-// is the packet's arrival instant at the switch.
-func (s *Switch) touchFlow(e *flowEntry, pkt *netem.Packet, at time.Time) {
-	s.mu.Lock()
-	if !e.removed {
-		e.lastUsed = at
-		e.packets++
-		e.bytes += int64(pkt.WireSize())
-	}
-	s.mu.Unlock()
-}
-
-// touchNormal replays the NORMAL-forwarding counter for a compiled
-// traversal.
-func (s *Switch) touchNormal(_ *netem.Packet, _ time.Time) {
-	s.mu.Lock()
-	s.normal++
-	s.mu.Unlock()
-}
-
-// compileActions folds an action list into a single rewrite, reporting
-// whether the list is replayable: rewrites followed by a forwarding
-// output. Punts, drops, and output-less lists are not.
-func compileActions(actions []Action) (netem.Rewrite, bool) {
-	var rw netem.Rewrite
-	for _, a := range actions {
-		switch act := a.(type) {
-		case SetDstIP:
-			rw.Fields |= netem.FieldDstIP
-			rw.Dst.IP = act.IP
-		case SetDstPort:
-			rw.Fields |= netem.FieldDstPort
-			rw.Dst.Port = act.Port
-		case SetSrcIP:
-			rw.Fields |= netem.FieldSrcIP
-			rw.Src.IP = act.IP
-		case SetSrcPort:
-			rw.Fields |= netem.FieldSrcPort
-			rw.Src.Port = act.Port
-		case Output:
-			return rw, true
-		case OutputNormal:
-			return rw, true
-		default:
-			return netem.Rewrite{}, false
-		}
-	}
-	return netem.Rewrite{}, false
-}
-
 // apply executes an action list on pkt.
 func (s *Switch) apply(pkt *netem.Packet, inPort int, actions []Action) {
 	for _, a := range actions {
@@ -613,26 +447,19 @@ func (s *Switch) apply(pkt *netem.Packet, inPort int, actions []Action) {
 			s.puntToController(pkt, inPort)
 			return
 		case Drop:
-			s.mu.Lock()
-			s.dropped++
-			s.mu.Unlock()
-			pkt.Release()
+			s.drop(pkt)
 			return
 		}
 	}
 	// An action list without an output terminates in a drop, per spec.
-	s.mu.Lock()
-	s.dropped++
-	s.mu.Unlock()
-	pkt.Release()
+	s.drop(pkt)
 }
 
+// send forwards pkt out the numbered port, dropping it when no such
+// port exists (a NORMAL lookup without a route yields port < 1).
 func (s *Switch) send(pkt *netem.Packet, port int) {
 	if port < 1 || port > len(s.ports) {
-		s.mu.Lock()
-		s.dropped++
-		s.mu.Unlock()
-		pkt.Release()
+		s.drop(pkt)
 		return
 	}
 	s.ports[port-1].Send(pkt)
@@ -642,10 +469,6 @@ func (s *Switch) forwardNormal(pkt *netem.Packet) {
 	s.mu.Lock()
 	port := s.normalRouteLocked(pkt.Dst.IP)
 	s.mu.Unlock()
-	if port < 1 {
-		s.drop(pkt)
-		return
-	}
 	s.send(pkt, port)
 }
 
@@ -712,7 +535,6 @@ func (s *Switch) installLocked(spec FlowSpec) *flowEntry {
 	s.table = append(s.table, e)
 	s.index[spec.Match] = append(s.index[spec.Match], e)
 	s.sigCount[spec.Match.signature()]++
-	s.epoch.Add(1)
 	return e
 }
 
@@ -758,7 +580,6 @@ func (s *Switch) evict(e *flowEntry, idle bool) {
 	s.removedCount++
 	s.dropIndexLocked(e)
 	s.compactLocked()
-	s.epoch.Add(1)
 	connected := s.connected
 	s.mu.Unlock()
 	if connected {
@@ -819,7 +640,6 @@ func (s *Switch) DeleteFlows(cookie uint64) int {
 	}
 	s.table = kept
 	s.removedCount = 0
-	s.epoch.Add(1)
 	return removed
 }
 
@@ -902,7 +722,6 @@ func (s *Switch) deleteExactLocked(m Match, priority int) bool {
 			s.removedCount++
 			s.dropIndexLocked(e)
 			s.compactLocked()
-			s.epoch.Add(1)
 			return true
 		}
 	}
@@ -948,8 +767,8 @@ func (s *Switch) Barrier() bool {
 	return true
 }
 
-// Restart models a switch reboot: the flow table, classifier index,
-// and microflow cache are lost; static configuration (routes, port
+// Restart models a switch reboot: the flow table and classifier index
+// are lost; static configuration (routes, port
 // wiring, controller connection) survives. The controller learns of
 // the reboot on the event mailbox after the channel latency and is
 // expected to ResyncFrom its desired state.
@@ -967,7 +786,7 @@ func (s *Switch) Restart() {
 }
 
 // wipeTableLocked drops every flow entry. Entries are marked removed
-// so in-flight idle/hard timers and compiled touch callbacks no-op.
+// so in-flight idle/hard timers no-op.
 // Callers hold s.mu.
 func (s *Switch) wipeTableLocked() {
 	for i, e := range s.table {
@@ -978,8 +797,6 @@ func (s *Switch) wipeTableLocked() {
 	s.removedCount = 0
 	clear(s.index)
 	clear(s.sigCount)
-	clear(s.micro)
-	s.epoch.Add(1)
 }
 
 // ResyncFrom replaces the whole flow table with specs in one reliable

@@ -161,10 +161,9 @@ var loadFlowMask = netem.ParseIP("255.192.0.0")
 // destinations to the cloud uplink and the cloud router default-routes
 // them back, so a reply to an unrouted synthetic address would
 // ping-pong on that link forever. The whole block is routed by a single
-// range entry — a per-flow host route would cost a map entry and a
-// microflow-cache-invalidating epoch bump per debut, which at millions
-// of flows is exactly the kind of measurement overhead this engine
-// exists to avoid.
+// range entry — a per-flow host route would cost a map entry per debut,
+// which at millions of flows is exactly the kind of measurement overhead
+// this engine exists to avoid.
 const loadInjectPort = 1
 
 // loadHeapSampleEvery is the injection-loop interval between

@@ -11,12 +11,20 @@ import (
 	"github.com/c3lab/transparentedge/internal/vclock"
 )
 
+// wanPorts is the WAN router's port count: port 0 is the uplink to the
+// gNB switch, every other port hosts one service's cloud origin.
+const wanPorts = 256
+
 // RegisterCatalogService registers one catalog service under the given
 // public address: the controller annotates its definition and installs
 // the intercept rule, and a cloud origin serving the same application
 // is brought up behind the WAN so the "perceived cloud" of Fig. 1
-// really exists.
+// really exists. It fails, registering nothing, once every WAN port
+// already hosts an origin.
 func (tb *Testbed) RegisterCatalogService(svc catalog.Service, addr netem.HostPort) (*ServiceHandle, error) {
+	if tb.nextOrigin+1 >= wanPorts {
+		return nil, fmt.Errorf("testbed: cannot register %s: all %d WAN origin ports are in use", addr, wanPorts-1)
+	}
 	coreSvc, err := tb.Controller.RegisterService(addr, svc.Definition)
 	if err != nil {
 		return nil, err

@@ -125,18 +125,9 @@ type Options struct {
 	// DeployTimeout overrides the controller's end-to-end deployment
 	// deadline.
 	DeployTimeout time.Duration
-	// NoFastPath disables the datapath fast path (microflow cache,
-	// compiled delivery, segment trains) for A/B verification; outputs
-	// must be byte-identical either way.
-	NoFastPath bool
 	// Seed drives all deterministic jitter.
 	Seed int64
 }
-
-// DefaultNoFastPath is the process-wide default for Options.NoFastPath,
-// set by edgesim's -no-fastpath flag so every testbed an experiment
-// builds (including those inside parallel replications) inherits it.
-var DefaultNoFastPath bool
 
 func (o Options) withDefaults() Options {
 	if o.Clients <= 0 {
@@ -153,9 +144,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if DefaultNoFastPath {
-		o.NoFastPath = true
 	}
 	return o
 }
@@ -207,9 +195,9 @@ type Testbed struct {
 	mobilePortA, mobilePortB []int
 	trunkA, trunkB           int
 	cloudRouter              *netem.Router
-	cloudPort   int
-	nextOrigin  int
-	services    []*ServiceHandle
+	cloudPort                int
+	nextOrigin               int
+	services                 []*ServiceHandle
 }
 
 // ZoneBClient returns client host i behind the second gNB.
@@ -222,9 +210,6 @@ func New(clk vclock.Clock, opts Options) (*Testbed, error) {
 	opts = opts.withDefaults()
 	tb := &Testbed{Opts: opts, Clock: clk}
 	n := netem.NewNetwork(clk, opts.Seed)
-	if opts.NoFastPath {
-		n.SetFastPath(false)
-	}
 	tb.Net = n
 
 	// Registries.
@@ -372,7 +357,7 @@ func New(clk vclock.Clock, opts Options) (*Testbed, error) {
 	clusters = append(clusters, tb.Cloud)
 
 	// The cloud side is a router fanning out to per-service origins.
-	tb.cloudRouter = netem.NewRouter(n, "wan", 256)
+	tb.cloudRouter = netem.NewRouter(n, "wan", wanPorts)
 	n.Connect(tb.cloudRouter.Port(0), sw.Port(tb.cloudPort), netem.LinkConfig{
 		Latency:   12 * time.Millisecond, // ≈25 ms RTT to the cloud
 		Bandwidth: netem.GbpsToBytes(1),

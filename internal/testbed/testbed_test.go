@@ -439,3 +439,33 @@ func TestConcurrentFirstRequestsCoalesceDeployment(t *testing.T) {
 		}
 	})
 }
+
+// TestRegisterManyPastWANPorts checks the WAN router's capacity limit:
+// 255 services fill its origin ports, and the registration that would
+// need port 256 fails with an error instead of panicking, leaving the
+// controller's service set as it was.
+func TestRegisterManyPastWANPorts(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		tb := build(t, clk, Options{WithDocker: true, Seed: 3})
+		asm := mustService(t, "asm")
+		if _, err := tb.RegisterMany(asm, wanPorts-1); err != nil {
+			t.Fatalf("registering %d services: %v", wanPorts-1, err)
+		}
+		extra := trace.ServiceAddr(wanPorts - 1)
+		if _, err := tb.RegisterCatalogService(asm, extra); err == nil {
+			t.Fatal("registration needing WAN port 256 succeeded")
+		}
+		if _, ok := tb.Controller.ServiceByAddr(extra); ok {
+			t.Error("failed registration left a half-registered service in the controller")
+		}
+		for i := 0; i < wanPorts-1; i++ {
+			if _, ok := tb.Controller.ServiceByAddr(trace.ServiceAddr(i)); !ok {
+				t.Fatalf("service %d missing after the failed registration", i)
+			}
+		}
+		if got := len(tb.Services()); got != wanPorts-1 {
+			t.Errorf("testbed lists %d services, want %d", got, wanPorts-1)
+		}
+	})
+}
