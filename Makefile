@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench bench-scale bench-save bench-sim bench-sim-save bench-sim-guard bench-load bench-load-save bench-load-guard bench-handover-save sched-diff shard-diff seed-diff mobility-diff chaos-check
+.PHONY: build test race vet check bench bench-scale bench-save bench-sim bench-sim-save bench-sim-guard bench-load bench-load-save bench-load-guard bench-handover-save golden-diff chaos-check
 
 build:
 	$(GO) build ./...
@@ -60,10 +60,10 @@ bench-sim-guard:
 			-gate 'BenchmarkBulkTransfer(-[0-9]+)?$$=16'
 
 # bench-load runs the scale benchmarks: the streaming-telemetry record
-# path, the O(1) Zipf alias draw, the scheduler at one million pending
-# timers (wheel vs heap, post/stop churn and firing drain), the
-# windowed shard-barrier round trip, and the 250k-flow open-loop load
-# engine end to end — sequential and sharded four ways.
+# path, the O(1) Zipf alias draw, the timing wheel at one million
+# pending timers (post/stop churn and firing drain), the windowed
+# shard-barrier round trip, and the 250k-flow open-loop load engine end
+# to end — sequential and sharded four ways.
 bench-load:
 	$(GO) test -bench='BenchmarkHistRecord' -benchtime=2s -benchmem -run=^$$ ./internal/metrics/
 	$(GO) test -bench='BenchmarkZipfAlias' -benchtime=2s -benchmem -run=^$$ ./internal/testbed/
@@ -127,59 +127,35 @@ bench-handover-save:
 	$(GO) test -bench='BenchmarkHandover$$' -benchtime=200x -benchmem -run=^$$ . | \
 		$(GO) run ./cmd/benchsave BENCH_8.json
 
-# shard-diff verifies sharded execution is invisible: the load
-# experiment's stdout — fingerprint row included — must be byte-
-# identical whether the run is sequential or service-partitioned across
-# 2, 4, or 8 clocks. Only stdout is compared: wall-clock, peak heap,
-# and the shard count itself go to stderr by design.
-shard-diff:
-	$(GO) build -o /tmp/edgesim-shdiff ./cmd/edgesim
-	/tmp/edgesim-shdiff -exp load -flows 50000 -shards 1 > /tmp/shdiff-1.txt
-	/tmp/edgesim-shdiff -exp load -flows 50000 -shards 2 > /tmp/shdiff-2.txt
-	/tmp/edgesim-shdiff -exp load -flows 50000 -shards 4 > /tmp/shdiff-4.txt
-	/tmp/edgesim-shdiff -exp load -flows 50000 -shards 8 > /tmp/shdiff-8.txt
-	diff /tmp/shdiff-1.txt /tmp/shdiff-2.txt
-	diff /tmp/shdiff-1.txt /tmp/shdiff-4.txt
-	diff /tmp/shdiff-1.txt /tmp/shdiff-8.txt
-	@echo "shard-diff: load output byte-identical across 1/2/4/8 shards"
-
-# seed-diff is the golden-output gate: the canonical experiment suite
-# (-exp all -n 5 -seed 1) must be byte-identical to the committed
-# golden file. Any intentional output change must regenerate
-# testdata/golden/exp_all_n5_seed1.txt in the same commit and justify
-# itself in review.
-seed-diff:
+# golden-diff is the determinism gate, three byte-for-byte comparisons
+# on one build:
+#   - golden file: the canonical experiment suite (-exp all -n 5
+#     -seed 1) must match the committed golden file. Any intentional
+#     output change must regenerate testdata/golden/exp_all_n5_seed1.txt
+#     in the same commit and justify itself in review.
+#   - mobility: the mobility experiment's output, session checksum
+#     included, must not depend on the worker count, and every session
+#     must survive every handover (the run fails its final line
+#     otherwise).
+#   - shards: the load experiment's stdout, fingerprint row included,
+#     must be the same sequential or service-partitioned across 2, 4,
+#     or 8 clocks. Only stdout is compared: wall-clock, peak heap, and
+#     the shard count itself go to stderr by design.
+golden-diff:
 	$(GO) build -o /tmp/edgesim-golden ./cmd/edgesim
 	/tmp/edgesim-golden -exp all -n 5 -seed 1 > /tmp/golden.txt
 	diff testdata/golden/exp_all_n5_seed1.txt /tmp/golden.txt
-	@echo "seed-diff: -exp all output matches the committed golden file"
-
-# mobility-diff verifies the handover subsystem is deterministic and
-# invisible to the execution knobs: the mobility experiment's output —
-# session checksum included — must be byte-identical across worker
-# counts and schedulers, and every session must survive
-# every handover (zero continuity breaks is asserted by the run itself
-# failing the final line otherwise).
-mobility-diff:
-	$(GO) build -o /tmp/edgesim-mob ./cmd/edgesim
-	/tmp/edgesim-mob -exp mobility -seed 1 -parallel 1 > /tmp/mob-1.txt
-	/tmp/edgesim-mob -exp mobility -seed 1 -parallel 4 > /tmp/mob-4.txt
-	/tmp/edgesim-mob -exp mobility -seed 1 -sched heap > /tmp/mob-heap.txt
+	/tmp/edgesim-golden -exp mobility -seed 1 -parallel 1 > /tmp/mob-1.txt
+	/tmp/edgesim-golden -exp mobility -seed 1 -parallel 4 > /tmp/mob-4.txt
 	diff /tmp/mob-1.txt /tmp/mob-4.txt
-	diff /tmp/mob-1.txt /tmp/mob-heap.txt
-	@echo "mobility-diff: mobility output byte-identical across -parallel and -sched"
-
-# sched-diff verifies the timing wheel is invisible: the full experiment
-# suite must be byte-identical under the wheel and the retained binary
-# heap, sequentially and under parallel replications.
-sched-diff:
-	$(GO) build -o /tmp/edgesim-sdiff ./cmd/edgesim
-	/tmp/edgesim-sdiff -exp all -n 5 -seed 1 -sched wheel > /tmp/sdiff-wheel.txt
-	/tmp/edgesim-sdiff -exp all -n 5 -seed 1 -sched heap > /tmp/sdiff-heap.txt
-	/tmp/edgesim-sdiff -exp all -n 5 -seed 1 -sched heap -parallel 4 > /tmp/sdiff-heap-par.txt
-	diff /tmp/sdiff-wheel.txt /tmp/sdiff-heap.txt
-	diff /tmp/sdiff-wheel.txt /tmp/sdiff-heap-par.txt
-	@echo "sched-diff: experiment outputs byte-identical under wheel and heap"
+	/tmp/edgesim-golden -exp load -flows 50000 -shards 1 > /tmp/shdiff-1.txt
+	/tmp/edgesim-golden -exp load -flows 50000 -shards 2 > /tmp/shdiff-2.txt
+	/tmp/edgesim-golden -exp load -flows 50000 -shards 4 > /tmp/shdiff-4.txt
+	/tmp/edgesim-golden -exp load -flows 50000 -shards 8 > /tmp/shdiff-8.txt
+	diff /tmp/shdiff-1.txt /tmp/shdiff-2.txt
+	diff /tmp/shdiff-1.txt /tmp/shdiff-4.txt
+	diff /tmp/shdiff-1.txt /tmp/shdiff-8.txt
+	@echo "golden-diff: golden file, mobility across -parallel, and load across -shards all byte-identical"
 
 # chaos-check is the chaos-hardening gate: the full-trace chaos replay
 # must hold its invariants (exit 0) under the race detector's build,

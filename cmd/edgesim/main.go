@@ -27,7 +27,6 @@ import (
 	"github.com/c3lab/transparentedge/internal/metrics"
 	"github.com/c3lab/transparentedge/internal/testbed"
 	"github.com/c3lab/transparentedge/internal/trace"
-	"github.com/c3lab/transparentedge/internal/vclock"
 )
 
 var allServices = []string{"asm", "nginx", "resnet", "nginxpy"}
@@ -49,7 +48,6 @@ func main() {
 	warm := flag.Int("warm", testbed.DefaultWarmRequests, "warm requests for fig16")
 	parallel := flag.Int("parallel", 1, "workers for independent replications: 1 = sequential, 0 = GOMAXPROCS")
 	format := flag.String("format", "table", "output format for tabular results: table|csv")
-	sched := flag.String("sched", "wheel", "event scheduler: wheel|heap (A/B verification; output must be identical)")
 	flows := flag.Int("flows", 0, "distinct flows for -exp load (default 20000; millions supported)")
 	rate := flag.Float64("rate", 0, "mean arrivals/s for -exp load (default 5000); mean handovers/s for -exp mobility (default 0.5)")
 	handovers := flag.Int("handovers", 0, "handover events for -exp mobility (default 16)")
@@ -70,12 +68,6 @@ func main() {
 	if *format == "csv" {
 		emit = func(t *metrics.Table) { fmt.Print(t.CSV()) }
 	}
-	kind, err := vclock.ParseSchedulerKind(*sched)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgesim: -sched: %v\n", err)
-		os.Exit(2)
-	}
-	vclock.SetDefaultScheduler(kind)
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -220,7 +212,7 @@ func knownExp(name string) bool {
 // on mobile clients, a seeded random walk hopping them between the two
 // gNBs, make-before-break flow re-steering at each hop. Every number in
 // the table is virtual-time deterministic — byte-identical for a given
-// seed regardless of -parallel or -sched.
+// seed regardless of -parallel.
 func mobilityExp(handovers int, rate float64, migrate bool, seed int64) error {
 	cfg := testbed.MobilityConfig{Handovers: handovers, Migrate: migrate, Seed: seed}
 	if rate > 0 {
@@ -269,10 +261,9 @@ func writeProfile(name, path string) {
 
 // load runs the open-loop Poisson/Zipf arrival engine: -flows distinct
 // synthetic clients at -rate arrivals/s against pre-deployed services.
-// The table on stdout is deterministic for a given seed (and identical
-// under -sched wheel and -sched heap); the wall-clock throughput and
-// peak-heap lines go to stderr because they are the only host-dependent
-// numbers. Dispatch latency is recorded in the streaming histogram, so
+// The table on stdout is deterministic for a given seed; the wall-clock
+// throughput and peak-heap lines go to stderr because they are the only
+// host-dependent numbers. Dispatch latency is recorded in the streaming histogram, so
 // a multi-million-arrival run costs constant telemetry memory and the
 // peak-heap figure tracks the system under test, not the measurement.
 //
@@ -280,7 +271,7 @@ func writeProfile(name, path string) {
 // clocks (see testbed.LoadConfig.Shards). Everything on stdout —
 // including the fingerprint row — is byte-identical to -shards 1; the
 // shard count itself goes to stderr with the other host-dependent
-// lines, which is what lets `make shard-diff` diff stdout directly.
+// lines, which is what lets `make golden-diff` diff stdout directly.
 func load(flows int, rate, revisits float64, seed int64, shards int) error {
 	res, err := testbed.RunLoad(testbed.LoadConfig{Flows: flows, Rate: rate, Revisits: revisits, Seed: seed, Shards: shards})
 	if err != nil {

@@ -31,7 +31,7 @@ func TestUniqueNameFor(t *testing.T) {
 }
 
 func TestAnnotateSetsAllRequiredFields(t *testing.T) {
-	a, err := Annotate(leanNginx, AnnotateOptions{UniqueName: "edge-svc-1", ServicePort: 80, SchedulerName: "my-sched"})
+	a, err := Annotate(leanNginx, AnnotateOptions{UniqueName: "edge-svc-1", ServicePort: 80, SchedulerName: "my-scheduler"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestAnnotateSetsAllRequiredFields(t *testing.T) {
 	if tmplLabels["app"] != "edge-svc-1" {
 		t.Errorf("template labels = %v", tmplLabels)
 	}
-	if tmpl["spec"].(map[string]any)["schedulerName"] != "my-sched" {
+	if tmpl["spec"].(map[string]any)["schedulerName"] != "my-scheduler" {
 		t.Errorf("schedulerName missing: %v", tmpl["spec"])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -638,8 +639,14 @@ func TestConnectTwicePanics(t *testing.T) {
 }
 
 // Property: any sequence of messages sent over a lossy link arrives
-// complete and in order.
+// complete and in order. Inputs come from a fixed seed, so a failing
+// case reproduces. At 15 % loss a dial may legitimately give up after
+// synRetries unanswered SYNs (about 0.28^6 per case); that is the
+// transport's contract and must surface as ErrTimeout. Most cases must
+// still connect, or the delivery property would go unexercised.
 func TestReliableDeliveryProperty(t *testing.T) {
+	const cases, minConnected = 25, 20
+	connected := 0
 	f := func(msgs [][]byte, lossSeed int64) bool {
 		if len(msgs) > 30 {
 			msgs = msgs[:30]
@@ -671,9 +678,13 @@ func TestReliableDeliveryProperty(t *testing.T) {
 			})
 			c, err := a.DialTimeout(b.Addr(80), 2*time.Minute)
 			if err != nil {
-				ok = false
+				if !errors.Is(err, ErrTimeout) {
+					t.Errorf("dial failed with %v, want ErrTimeout", err)
+					ok = false
+				}
 				return
 			}
+			connected++
 			for _, m := range msgs {
 				c.Send(m)
 			}
@@ -691,7 +702,11 @@ func TestReliableDeliveryProperty(t *testing.T) {
 		})
 		return ok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	cfg := &quick.Config{MaxCount: cases, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+	if connected < minConnected {
+		t.Errorf("%d of %d cases connected, want at least %d", connected, cases, minConnected)
 	}
 }

@@ -46,74 +46,67 @@ func BenchmarkMailboxRoundTrip(b *testing.B) {
 func benchNop() {}
 
 // millionTimerDurs spreads a pending-timer ballast across the upper
-// wheel levels (and deep heap paths): the idle-flow, FlowMemory-expiry,
-// and health-probe timers a million-flow run keeps armed for minutes to
-// an hour.
+// wheel levels: the idle-flow, FlowMemory-expiry, and health-probe
+// timers a million-flow run keeps armed for minutes to an hour.
 var millionTimerDurs = [8]time.Duration{
 	2 * time.Minute, 5 * time.Minute, 11 * time.Minute, 17 * time.Minute,
 	27 * time.Minute, 40 * time.Minute, 52 * time.Minute, time.Hour,
 }
 
-// BenchmarkMillionTimers measures the scheduler at a 1M-pending-timer
+// BenchmarkMillionTimers measures the timing wheel at a 1M-pending-timer
 // population — the shape of a million-flow run where every flow holds
 // retransmit/idle/expiry timers. post-stop is the steady-state churn
 // path: schedule a short retransmit-scale timer and cancel it (the ack
-// arrived) under the full idle ballast; the short timer sorts before
-// ~everything pending, which costs the heap near-full-depth sifts both
-// ways and the wheel two O(1) list operations. Must be 0 allocs/op.
-// drain fires timers while re-arming each one, so the wheel variant
-// pays its cascading costs.
+// arrived) under the full idle ballast, two O(1) list operations. Must
+// be 0 allocs/op. drain fires timers while re-arming each one, so it
+// pays the wheel's cascading costs.
 func BenchmarkMillionTimers(b *testing.B) {
 	const pending = 1 << 20
-	for _, kind := range []SchedulerKind{SchedulerWheel, SchedulerHeap} {
-		b.Run(kind.String()+"/post-stop", func(b *testing.B) {
-			v := New()
-			v.SetScheduler(kind)
-			v.Run(func() {
-				ring := make([]Pending, pending)
-				for i := range ring {
-					ring[i] = v.Post(millionTimerDurs[i&7]+time.Duration(i), benchNop)
-				}
-				shortDurs := [4]time.Duration{300 * time.Microsecond, 2 * time.Millisecond, 20 * time.Millisecond, 500 * time.Millisecond}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p := v.Post(shortDurs[i&3]+time.Duration(i&0xFFFF), benchNop)
-					p.Stop()
-				}
-			})
+	b.Run("wheel/post-stop", func(b *testing.B) {
+		v := New()
+		v.Run(func() {
+			ring := make([]Pending, pending)
+			for i := range ring {
+				ring[i] = v.Post(millionTimerDurs[i&7]+time.Duration(i), benchNop)
+			}
+			shortDurs := [4]time.Duration{300 * time.Microsecond, 2 * time.Millisecond, 20 * time.Millisecond, 500 * time.Millisecond}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := v.Post(shortDurs[i&3]+time.Duration(i&0xFFFF), benchNop)
+				p.Stop()
+			}
 		})
-		b.Run(kind.String()+"/drain", func(b *testing.B) {
-			v := New()
-			v.SetScheduler(kind)
-			v.Run(func() {
-				// 1M mostly-idle timers sit as ballast across all levels
-				// while a 64k active set fires and re-arms at short
-				// intervals: each firing pops, cascades (wheel) or sifts
-				// (heap), and re-posts, with the full population resident.
-				ring := make([]Pending, pending)
-				for i := range ring {
-					ring[i] = v.Post(millionTimerDurs[i&7]+time.Duration(i), benchNop)
-				}
-				shortDurs := [4]time.Duration{time.Microsecond, 7 * time.Microsecond, 60 * time.Microsecond, 500 * time.Microsecond}
-				rearm := func(a, _ any) {
-					s := a.(*drainState)
-					s.v.Post2(shortDurs[s.i&3], s.fn, a, nil)
-					s.i++
-				}
-				st := &drainState{v: v, fn: rearm}
-				for i := 0; i < 1<<16; i++ {
-					v.Post2(shortDurs[i&3]+time.Duration(i), rearm, st, nil)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				target := st.i + b.N
-				for st.i < target {
-					v.Sleep(10 * time.Microsecond)
-				}
-			})
+	})
+	b.Run("wheel/drain", func(b *testing.B) {
+		v := New()
+		v.Run(func() {
+			// 1M mostly-idle timers sit as ballast across all levels
+			// while a 64k active set fires and re-arms at short
+			// intervals: each firing pops, cascades, and re-posts, with
+			// the full population resident.
+			ring := make([]Pending, pending)
+			for i := range ring {
+				ring[i] = v.Post(millionTimerDurs[i&7]+time.Duration(i), benchNop)
+			}
+			shortDurs := [4]time.Duration{time.Microsecond, 7 * time.Microsecond, 60 * time.Microsecond, 500 * time.Microsecond}
+			rearm := func(a, _ any) {
+				s := a.(*drainState)
+				s.v.Post2(shortDurs[s.i&3], s.fn, a, nil)
+				s.i++
+			}
+			st := &drainState{v: v, fn: rearm}
+			for i := 0; i < 1<<16; i++ {
+				v.Post2(shortDurs[i&3]+time.Duration(i), rearm, st, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			target := st.i + b.N
+			for st.i < target {
+				v.Sleep(10 * time.Microsecond)
+			}
 		})
-	}
+	})
 }
 
 // drainState carries the re-arming loop of BenchmarkMillionTimers'

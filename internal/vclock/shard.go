@@ -100,7 +100,7 @@ const (
 )
 
 // NewShardGroup returns a group of n fresh Virtual clocks (starting at
-// Epoch, using the default scheduler kind) with infinite lookahead.
+// Epoch) with infinite lookahead.
 // Topologies with cross-shard edges must SetLookahead before Run.
 func NewShardGroup(n int) *ShardGroup {
 	if n < 1 {

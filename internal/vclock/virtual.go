@@ -22,10 +22,8 @@ import (
 // goroutine instead of spawning a goroutine per firing.
 type Virtual struct {
 	mu      sync.Mutex
-	now     time.Time
 	seq     uint64
-	sched   evScheduler // pending events: timing wheel or heap fallback
-	kind    SchedulerKind
+	sched   wheelSched // pending events
 	running int
 	stopped bool
 	free    []*event // event freelist, guarded by mu
@@ -42,10 +40,10 @@ type Virtual struct {
 	onBlock   func(nextNS int64, empty bool)
 	blockSent bool
 
-	// base and offNS mirror now for lock-free reads: Now() is an atomic
-	// load instead of a mutex acquisition. Time only moves while every
-	// goroutine is parked, so the two views can never disagree from a
-	// runnable goroutine's perspective.
+	// The current time is base + offNS. offNS is atomic so Now() is a
+	// load instead of a mutex acquisition; it is only written under mu,
+	// and only while every goroutine is parked, so runnable code never
+	// observes it mid-advance.
 	base  time.Time
 	offNS atomic.Int64
 
@@ -70,18 +68,18 @@ const (
 )
 
 type event struct {
-	at time.Time
-	// atNS is at expressed as nanoseconds since the clock's base
-	// instant: the integer time axis the timing wheel indexes by. It is
-	// exactly at.Sub(base), so (atNS, seq) order equals (at, seq) order.
+	// atNS is the firing instant in nanoseconds since the clock's base
+	// instant: the integer time axis the timing wheel indexes by.
+	// Events fire in (atNS, seq) order.
 	atNS int64
 	seq  uint64
-	// index is the heap position under SchedulerHeap; under the wheel
-	// it is 0 while queued. Both schedulers set it to -1 when the event
-	// pops or is removed, which is what stopEvent keys off.
+	// index is 0 while the event is queued on the wheel, or its
+	// position while it sits on the behind-cursor heap; it is -1 once
+	// the event pops or is removed, which is what stopEvent keys off.
 	index int
 	// next/prev/slot are the timing wheel's intrusive slot-list links
-	// and location code (level<<wheelSlotBits | slot, or overflowSlot).
+	// and location code (level<<wheelSlotBits | slot, overflowSlot, or
+	// pastSlot).
 	next, prev *event
 	slot       int32
 	// gen guards Pending handles against freelist reuse: a handle whose
@@ -96,8 +94,7 @@ type event struct {
 
 // NewVirtual returns a virtual clock whose time starts at start.
 func NewVirtual(start time.Time) *Virtual {
-	kind := DefaultSchedulerKind()
-	return &Virtual{now: start, base: start, kind: kind, sched: newScheduler(kind, 0), horizonNS: math.MaxInt64}
+	return &Virtual{base: start, horizonNS: math.MaxInt64}
 }
 
 // Epoch is the default start instant for simulations: an arbitrary fixed
@@ -259,7 +256,6 @@ func (v *Virtual) getEventAbsLocked(atNS int64, kind eventKind) *event {
 		ev = &event{}
 	}
 	v.seq++
-	ev.at = v.base.Add(time.Duration(atNS))
 	ev.atNS = atNS
 	ev.seq = v.seq
 	ev.kind = kind
@@ -365,9 +361,8 @@ func (v *Virtual) maybeAdvanceLocked() {
 				}
 				// Release the mutex before panicking so deferred cleanup in
 				// callers (e.g. Run) can still acquire it while unwinding.
-				now := v.now
 				v.mu.Unlock()
-				panic(fmt.Sprintf("vclock: deadlock at %s: all goroutines parked and no timers pending", now.Format(time.RFC3339Nano)))
+				panic(fmt.Sprintf("vclock: deadlock at %s: all goroutines parked and no timers pending", v.Now().Format(time.RFC3339Nano)))
 			}
 			ev = v.sched.pop()
 		} else if v.sched.size() > 0 {
@@ -389,9 +384,8 @@ func (v *Virtual) maybeAdvanceLocked() {
 			return
 		}
 		v.held = nil
-		if ev.at.After(v.now) {
-			v.now = ev.at
-			v.offNS.Store(int64(v.now.Sub(v.base)))
+		if ev.atNS > v.offNS.Load() {
+			v.offNS.Store(ev.atNS)
 		}
 		switch ev.kind {
 		case evWake:

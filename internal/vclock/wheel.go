@@ -2,12 +2,13 @@ package vclock
 
 import "math/bits"
 
-// Hierarchical timing wheel (Varghese–Lauck scheme 6/7): the default
-// evScheduler. Virtual time is handled as an int64 offset in
-// nanoseconds from the clock's base instant (event.atNS). The wheel has
-// wheelLevels levels of wheelSlots slots; a level-l slot spans
-// 2^(wheelSlotBits·l) ns, so level 0 resolves single nanoseconds and
-// the whole wheel covers 2^48 ns ≈ 78 hours ahead of the current time.
+// Hierarchical timing wheel (Varghese–Lauck scheme 6/7): the pending-
+// event set of every Virtual clock; callers hold the clock mutex.
+// Virtual time is handled as an int64 offset in nanoseconds from the
+// clock's base instant (event.atNS). The wheel has wheelLevels levels
+// of wheelSlots slots; a level-l slot spans 2^(wheelSlotBits·l) ns, so
+// level 0 resolves single nanoseconds and the whole wheel covers
+// 2^48 ns ≈ 78 hours ahead of the current time.
 // Events past that horizon sit in an unsorted overflow list and are
 // re-filed when the wheel reaches them.
 //
@@ -16,7 +17,7 @@ import "math/bits"
 // move pointers and never allocate. A level-0 slot holds exactly one
 // instant (1 ns wide) and is kept ordered by seq on insert — appending
 // at the tail is the common case because seq grows monotonically —
-// which is what preserves the engine's deterministic (at, seq) fire
+// which is what preserves the engine's deterministic (atNS, seq) fire
 // order. Higher-level slots are unordered; order is restored when their
 // contents cascade down into level 0.
 const (
@@ -53,7 +54,7 @@ func (l *wheelList) append(ev *event) {
 
 // insertBySeq files ev into a level-0 slot keeping seq order. All
 // events in a level-0 slot share one firing instant, so seq order is
-// full (at, seq) order. Scanning from the tail makes the monotone
+// full (atNS, seq) order. Scanning from the tail makes the monotone
 // common case (fresh events have the largest seq) O(1).
 func (l *wheelList) insertBySeq(ev *event) {
 	p := l.tail
@@ -114,7 +115,7 @@ type wheelSched struct {
 	over    wheelList
 	overMin int64
 
-	// past holds events filed behind cur, ordered (at, seq). A lone
+	// past holds events filed behind cur, ordered (atNS, seq). A lone
 	// clock never produces them — cur trails the firing point — but a
 	// sharded clock can: pop advances cur to the next local event, the
 	// horizon gate holds that event aside, and the window merge then
@@ -123,10 +124,6 @@ type wheelSched struct {
 	// wheel-resident event (cur never exceeds a queued wheel event's
 	// firing time), so pop drains this heap first without moving cur.
 	past eventHeap
-}
-
-func newWheelSched(curNS int64) *wheelSched {
-	return &wheelSched{cur: curNS}
 }
 
 func (w *wheelSched) size() int { return w.n }
@@ -265,7 +262,7 @@ func (w *wheelSched) minHigher() (int64, int, int) {
 	return tH, lH, sH
 }
 
-// pop removes and returns the (at, seq)-minimal event. It advances cur
+// pop removes and returns the (atNS, seq)-minimal event. It advances cur
 // by jumps: cascade the earliest occupied higher-level slot whenever
 // its window start is at or before the earliest level-0 event (so
 // same-instant events meet in a seq-ordered level-0 slot before any of
